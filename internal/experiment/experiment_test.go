@@ -23,7 +23,9 @@ func TestFig06aLatencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency sweep regenerates a full figure")
 	}
-	tab := Fig06aLatency()
+	rep := Fig06aReport()
+	checkGolden(t, rep)
+	tab := rep.Table
 	if len(tab.Rows) != 8 {
 		t.Fatalf("got %d rows, want 8", len(tab.Rows))
 	}
@@ -58,7 +60,9 @@ func TestFig06bBandwidthShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bandwidth sweep is slow")
 	}
-	tab := Fig06bBandwidth()
+	rep := Fig06bReport()
+	checkGolden(t, rep)
+	tab := rep.Table
 	last := len(tab.Rows) - 1
 	raw := cell(t, tab, last, 1)
 	if raw < 85 || raw > 96 {
@@ -76,7 +80,9 @@ func TestFig07Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid is slow")
 	}
-	tab := Fig07PiggybackSize()
+	rep := Fig07Report()
+	checkGolden(t, rep)
+	tab := rep.Table
 	for i := range tab.Rows {
 		vcEL, manEL, logEL := cell(t, tab, i, 2), cell(t, tab, i, 3), cell(t, tab, i, 4)
 		vcNo, manNo, logNo := cell(t, tab, i, 5), cell(t, tab, i, 6), cell(t, tab, i, 7)
@@ -100,7 +106,9 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recovery grid is slow")
 	}
-	tab := Fig10Recovery()
+	rep := Fig10Report()
+	checkGolden(t, rep)
+	tab := rep.Table
 	for i := range tab.Rows {
 		withEL, withoutEL := cell(t, tab, i, 2), cell(t, tab, i, 3)
 		if withEL >= withoutEL {
@@ -159,6 +167,7 @@ func min3(a, b, c float64) float64 {
 // EL-enabled stack loses none.
 func TestExtELContributionSmokeShape(t *testing.T) {
 	rep := ExtELContributionSmokeReport()
+	checkGolden(t, rep)
 	tab := rep.Table
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")

@@ -43,6 +43,7 @@ func TestExtServiceSmokeDeterministic(t *testing.T) {
 // the p99 tail degrades monotonically from fault-free to storm.
 func TestExtServiceSmokeShape(t *testing.T) {
 	rep, _ := runServiceSmoke(t, 0)
+	checkGolden(t, rep)
 	res := rep.Sweeps[0]
 	for _, stack := range []string{"Vcausal (EL)", "Manetho (EL)"} {
 		clean := res.Get("service.4", stack, "fault-free")
