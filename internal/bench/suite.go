@@ -90,7 +90,7 @@ func benchKernelSchedulePop(b *testing.B) {
 }
 
 // benchProcSleep measures the park/unpark handshake: one timer event plus
-// two goroutine switches per operation, the unit cost of ChargeCPU.
+// two coroutine switches per operation, the unit cost of ChargeCPU.
 func benchProcSleep(b *testing.B) {
 	k := sim.NewKernel(1)
 	k.Spawn("sleeper", func(p *sim.Proc) {
@@ -221,7 +221,7 @@ func benchEncodeFlat(b *testing.B) {
 // recovery requests the 64-payload replay set and the serving daemon
 // re-transmits it. This is the recovery-path hot spot the batched replay
 // chain targets — the sequential path paid one blocking sleep (a kernel
-// timer plus two goroutine switches) per logged payload; the chain pays
+// timer plus two process switches) per logged payload; the chain pays
 // one park for the whole set.
 func benchReplayServe(b *testing.B) {
 	k := sim.NewKernel(1)
@@ -266,6 +266,8 @@ func benchReplayServe(b *testing.B) {
 	b.ResetTimer()
 	k.At(0, func() { request() })
 	k.Run()
+	b.StopTimer()
+	k.Close() // the server loop is still parked
 }
 
 // cellBench runs one complete CG.A.4 simulation per iteration on the given

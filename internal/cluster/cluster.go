@@ -373,8 +373,11 @@ func (c *Cluster) PrepareRun(programs []failure.Program) *failure.Dispatcher {
 // the first determinant loss, or the maxVirtual safety deadline, and
 // returns the structured result. Unlike completion and loss, divergence is
 // not a panic either: callers decide (tables render it, tests chain
-// MustCompleted).
+// MustCompleted). On every exit path, a panic included, it releases the
+// run's simulated processes (sim.Kernel.Close): the deployment's state
+// stays readable, but the run cannot be resumed.
 func (c *Cluster) RunLaunched(maxVirtual sim.Time) RunResult {
+	defer c.K.Close()
 	end := c.K.RunUntil(maxVirtual)
 	return RunResult{
 		Outcome:         c.Outcome(),

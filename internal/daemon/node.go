@@ -698,7 +698,7 @@ func (n *Node) serveDetRequest(req detRequest) {
 // above seqFloor — the batched sender-log replay of a peer's recovery.
 //
 // The sequential path charged each message's software cost with its own
-// blocking sleep: one kernel timer plus two goroutine switches per logged
+// blocking sleep: one kernel timer plus two process switches per logged
 // payload, which under fault storms made replay service the dominant host
 // cost of the recovery path. The batched path gathers the replay set once
 // and hands it to a chain of kernel events: each link emits one message at

@@ -203,11 +203,12 @@ func execute(cell *Cell, opts Options, deadline time.Time) (cr CellResult) {
 		c.K.At(watchPeriod, watch)
 	}
 	d.Launch()
-	end := c.K.RunUntil(cell.MaxVirtual)
+	run := c.RunLaunched(cell.MaxVirtual)
+	end := run.End
 
 	cr.Completed = d.AllDone()
-	cr.Outcome = c.Outcome()
-	cr.DetLoss = c.FirstDetLoss()
+	cr.Outcome = run.Outcome
+	cr.DetLoss = run.DetLoss
 	if !cr.Completed && !deadline.IsZero() && time.Now().After(deadline) {
 		// The wall-clock watchdog stopped the kernel: the cell was most
 		// likely deadlocked (it would otherwise have reached its virtual

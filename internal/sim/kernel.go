@@ -16,27 +16,17 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// yieldCh is the rendezvous on which a resumed process hands control
-	// back to the kernel loop (by parking, finishing, or dying).
-	yieldCh chan struct{}
-
-	procs     map[int]*Proc
-	nextProc  int
-	liveProcs int
-
-	// procPanic holds the message of a panic that unwound a process body;
-	// step re-raises it on the kernel goroutine.
-	procPanic string
+	// unfinished holds every spawned process whose coroutine has not yet
+	// returned (killed-but-not-unwound ones included), so Close can
+	// release them; each Proc records its own slot.
+	unfinished []*Proc
+	liveProcs  int
 }
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{
-		rng:     rand.New(rand.NewSource(seed)),
-		yieldCh: make(chan struct{}),
-		procs:   make(map[int]*Proc),
-	}
+	return &Kernel{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -89,6 +79,24 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 		ev.fn()
 	}
 	return k.now
+}
+
+// Close releases every process that has not finished — parked server
+// loops, ranks cut off by a horizon or a virtual-time cap, killed processes
+// whose unwind event never ran — by unwinding each one with ErrKilled, so
+// nothing a run allocated outlives it. Call it once the run is over: the
+// kernel must not run again afterwards. Close is idempotent, and after it
+// LiveProcs reports zero.
+func (k *Kernel) Close() {
+	for n := len(k.unfinished); n > 0; n = len(k.unfinished) {
+		p := k.unfinished[n-1]
+		p.stop()
+		if !p.finished {
+			// Never started: stop discarded the coroutine without
+			// running its epilogue.
+			p.finish()
+		}
+	}
 }
 
 // LiveProcs reports the number of spawned processes that have not yet

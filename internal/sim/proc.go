@@ -1,27 +1,38 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// ErrKilled is the panic value used to unwind a process goroutine when it is
-// killed. Process bodies must not recover from it; the kernel's wrapper does.
+// ErrKilled is the panic value used to unwind a process coroutine when it
+// is killed or released. Process bodies must not recover from it; the
+// kernel's wrapper does.
 var ErrKilled = fmt.Errorf("sim: process killed")
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
-// hands it control, and hands control back whenever it blocks (Sleep, park,
+// Proc is a simulated process: a coroutine that runs only when the kernel
+// resumes it, and yields control back whenever it blocks (Sleep, park,
 // mailbox Get) or finishes.
 type Proc struct {
 	k    *Kernel
-	id   int
 	name string
 
-	// resume carries control from the kernel to the process goroutine.
-	resume chan struct{}
+	// next resumes the coroutine until it parks or finishes; a panic in
+	// the body resurfaces from next, in kernel context. yield, called from
+	// inside the coroutine, suspends it and reports false once stop has
+	// been called. stop unwinds a suspended or never-started coroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// stepFn and unparkFn are the two closures every park/unpark cycle
 	// schedules. They are built once at Spawn so that the simulation hot
 	// path (Sleep, mailbox waits) allocates nothing per operation.
 	stepFn   func()
 	unparkFn func()
+
+	// slot is p's index in the kernel's unfinished list.
+	slot int
 
 	killed   bool
 	finished bool
@@ -37,68 +48,64 @@ type Proc struct {
 // the current virtual time. It returns the Proc handle immediately; the body
 // does not run until the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.nextProc++
-	p := &Proc{
-		k:      k,
-		id:     k.nextProc,
-		name:   name,
-		resume: make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name, slot: len(k.unfinished)}
 	p.stepFn = func() { k.step(p) }
 	p.unparkFn = p.unpark
-	k.procs[p.id] = p
-	k.liveProcs++
-
-	go func() {
-		<-p.resume // wait for the kernel to start us
-		defer func() {
-			if r := recover(); r != nil && r != any(ErrKilled) {
-				// Real bug in a process body: record it so the kernel loop
-				// (which is blocked on yieldCh) re-panics in its own
-				// goroutine, where callers can observe it.
-				k.procPanic = fmt.Sprintf("sim: process %q panicked: %v", name, r)
-			}
-			p.finished = true
-			if !p.killed {
-				k.liveProcs--
-				delete(k.procs, p.id)
-			}
-			k.yieldCh <- struct{}{}
-		}()
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		if p.killed {
 			// Killed before ever running: do not execute the body.
 			return
 		}
 		fn(p)
-	}()
-
+	})
+	k.unfinished = append(k.unfinished, p)
+	k.liveProcs++
 	k.At(k.now, p.stepFn)
 	return p
 }
 
-// step transfers control to p and waits until p parks, finishes or dies.
-// A panic in the process body is re-raised here, in kernel context.
-func (k *Kernel) step(p *Proc) {
-	if p.finished {
-		return
+// exit is the coroutine's deferred epilogue: it absorbs the ErrKilled
+// unwind and turns any other panic into one that names the process.
+func (p *Proc) exit() {
+	r := recover()
+	p.finish()
+	if r != nil && r != any(ErrKilled) {
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}
-	p.resume <- struct{}{}
-	<-k.yieldCh
-	if k.procPanic != "" {
-		msg := k.procPanic
-		k.procPanic = ""
-		panic(msg)
+}
+
+// finish marks p finished and removes it from the kernel's unfinished list.
+func (p *Proc) finish() {
+	k := p.k
+	p.finished = true
+	if !p.killed {
+		k.liveProcs--
+	}
+	last := len(k.unfinished) - 1
+	k.unfinished[p.slot] = k.unfinished[last]
+	k.unfinished[p.slot].slot = p.slot
+	k.unfinished[last] = nil
+	k.unfinished = k.unfinished[:last]
+}
+
+// step resumes p until it parks, finishes or dies. A panic in the process
+// body is re-raised here, in kernel context.
+func (k *Kernel) step(p *Proc) {
+	if !p.finished {
+		p.next()
 	}
 }
 
 // park blocks the calling process until another activity calls unpark. It
-// panics with ErrKilled if the process is killed while parked.
+// panics with ErrKilled if the process is killed while parked, or released
+// by Kernel.Close.
 func (p *Proc) park() {
 	p.parked = true
-	p.k.yieldCh <- struct{}{}
-	<-p.resume
+	resumed := p.yield(struct{}{})
 	p.parked = false
-	if p.killed {
+	if !resumed || p.killed {
 		panic(ErrKilled)
 	}
 }
@@ -160,7 +167,6 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	p.k.liveProcs--
-	delete(p.k.procs, p.id)
 	if p.onKill != nil {
 		p.onKill()
 		p.onKill = nil
@@ -175,11 +181,3 @@ func (p *Proc) Killed() bool { return p.killed }
 
 // Finished reports whether the process body has returned or unwound.
 func (p *Proc) Finished() bool { return p.finished }
-
-// addKillHook registers f to run if the process is killed while blocked; it
-// returns a function that deregisters the hook (called on normal wakeup).
-func (p *Proc) addKillHook(f func()) (remove func()) {
-	p.onKill = f
-	//lint:allow noalloctrans the deregister closure is built only when a receive parks; the drained steady path never blocks
-	return func() { p.onKill = nil }
-}

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestProcSleepAdvancesClock(t *testing.T) {
 	k := NewKernel(1)
@@ -121,14 +124,80 @@ func TestYieldLetsPeersRun(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate out of Run")
-		}
-	}()
 	k := NewKernel(1)
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
 	k.Spawn("bad", func(p *Proc) { panic("boom") })
+	func() {
+		defer func() {
+			const want = `sim: process "bad" panicked: boom`
+			if r := recover(); r != want {
+				t.Errorf("Run panicked with %v, want %q", r, want)
+			}
+		}()
+		k.Run()
+	}()
+	// The panicking run still releases its other processes.
+	k.Close()
+	if k.LiveProcs() != 0 {
+		t.Fatalf("live procs = %d after Close, want 0", k.LiveProcs())
+	}
+}
+
+// TestCloseReleasesEveryProcess: Close unwinds a process parked in Sleep,
+// one parked in a mailbox Get and one killed but not yet unwound (running
+// their deferred calls), discards one killed before it ever started, and
+// leaves a finished one alone. No coroutine outlives it.
+func TestCloseReleasesEveryProcess(t *testing.T) {
+	goroutines0 := runtime.NumGoroutine()
+	k := NewKernel(1)
+	mb := NewMailbox[int](k)
+	unwound := map[string]bool{}
+	body := func(block func(p *Proc)) func(p *Proc) {
+		return func(p *Proc) {
+			defer func() { unwound[p.Name()] = true }()
+			block(p)
+			t.Errorf("%s returned from its blocking call", p.Name())
+		}
+	}
+	sleeper := k.Spawn("sleeper", body(func(p *Proc) { p.Sleep(Second) }))
+	getter := k.Spawn("getter", body(func(p *Proc) { mb.Get(p) }))
+	killed := k.Spawn("killed", body(func(p *Proc) { p.Sleep(Second) }))
+	finished := k.Spawn("finished", func(p *Proc) { p.Sleep(10) })
+	var unstarted *Proc
+	k.At(50, func() {
+		unstarted = k.Spawn("unstarted", func(p *Proc) { t.Error("killed-before-start body ran") })
+		unstarted.Kill()
+		// Kill schedules the victim's unwind; stopping now leaves it parked.
+		killed.Kill()
+		k.Stop()
+	})
 	k.Run()
+	if !finished.Finished() || killed.Finished() || unstarted.Finished() {
+		t.Fatalf("before Close: finished=%v killed=%v unstarted=%v",
+			finished.Finished(), killed.Finished(), unstarted.Finished())
+	}
+	if k.LiveProcs() != 2 {
+		t.Fatalf("live procs = %d before Close, want 2 (sleeper, getter)", k.LiveProcs())
+	}
+
+	k.Close()
+	k.Close() // idempotent
+	if k.LiveProcs() != 0 {
+		t.Fatalf("live procs = %d after Close, want 0", k.LiveProcs())
+	}
+	for _, p := range []*Proc{sleeper, getter, killed, unstarted, finished} {
+		if !p.Finished() {
+			t.Errorf("%s not finished after Close", p.Name())
+		}
+	}
+	for _, name := range []string{"sleeper", "getter", "killed"} {
+		if !unwound[name] {
+			t.Errorf("%s did not unwind through its deferred calls", name)
+		}
+	}
+	if g := runtime.NumGoroutine(); g > goroutines0 {
+		t.Errorf("goroutines = %d after Close, want at most %d", g, goroutines0)
+	}
 }
 
 func TestNegativeSleepPanics(t *testing.T) {

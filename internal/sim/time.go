@@ -2,11 +2,12 @@
 // simulation kernel.
 //
 // The kernel advances a virtual clock by executing scheduled events in
-// (time, sequence) order. Simulated processes are ordinary goroutines that
-// cooperate with the kernel through a strict yield/resume handshake: at any
-// instant at most one goroutine (either the kernel loop or a single process)
-// is runnable, so executions are fully deterministic and free of data races
-// by construction.
+// (time, sequence) order. Simulated processes are coroutines (iter.Pull):
+// the kernel resumes one from an event and it yields back when it blocks,
+// so at any instant exactly one activity (the kernel loop or a single
+// process) runs, and executions are fully deterministic and free of data
+// races by construction. Kernel.Close releases whatever is still
+// unfinished when a run ends.
 //
 // The kernel knows nothing about networks or MPI; higher layers
 // (internal/netmodel, internal/daemon, ...) are built on the three
