@@ -184,14 +184,6 @@ type Node struct {
 	// sequence trackers and the antecedence graph. Daemon-level state: it
 	// survives this node's own restarts.
 	peerEpoch []int
-	// guarded folds the two PktApp admission checks — a live incarnation
-	// fence on any peer, or this node recovering — into one predictable
-	// branch: in a fault-free run neither ever fires, so the application
-	// packet fast path tests a single always-false bool. fenced is the
-	// sticky half (a fence only ever tightens); recovering is the
-	// transient half.
-	guarded bool
-	fenced  bool
 	// pktObs caches the Proto's PacketObserver extension (set at Bind), so
 	// the per-packet acceptance path pays a nil check instead of a dynamic
 	// interface type assertion.
@@ -329,8 +321,6 @@ func (n *Node) NextIncarnation() int { return n.recoveryEpoch + 1 }
 func (n *Node) FenceIncarnation(r event.Rank, inc int) {
 	if inc > n.peerEpoch[r] {
 		n.peerEpoch[r] = inc
-		n.fenced = true
-		n.guarded = true
 	}
 }
 
@@ -602,24 +592,19 @@ func (n *Node) process(d netmodel.Delivery) {
 	switch pkt.Kind {
 	case vproto.PktApp:
 		m := pkt.App
-		if n.guarded {
-			// Slow path: a fence is live somewhere or this node is mid
-			// recovery. Fault-free runs never enter here — the admission
-			// checks cost them the single guarded branch above.
-			if m.Inc < n.peerEpoch[m.Src] {
-				// Fenced: the sender incarnation was superseded after a false
-				// suspicion. Its packets — typically released by a healing
-				// partition — must not touch the sequence trackers or reach
-				// the reducers: the replacement incarnation re-creates this
-				// history, possibly with different determinants under the
-				// same IDs.
-				n.stats.FencedStaleMsgs++
-				return
-			}
-			if n.recovering {
-				n.heldApp = append(n.heldApp, m)
-				return
-			}
+		if m.Inc < n.peerEpoch[m.Src] {
+			// Fenced: the sender incarnation was superseded after a false
+			// suspicion. Its packets — typically released by a healing
+			// partition — must not touch the sequence trackers or reach
+			// the reducers: the replacement incarnation re-creates this
+			// history, possibly with different determinants under the
+			// same IDs.
+			n.stats.FencedStaleMsgs++
+			return
+		}
+		if n.recovering {
+			n.heldApp = append(n.heldApp, m)
+			return
 		}
 		cpu := n.Stack.RecvOverhead + n.Stack.PipeOverhead +
 			sim.Time(int64(m.Bytes)*int64(n.Stack.CopyPerByte+n.Stack.PipePerByte))
@@ -893,7 +878,6 @@ func (n *Node) PrepareRecovery() {
 	// and re-accepted once the image is restored.
 	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
 	n.recovering = true
-	n.guarded = true
 	n.imageArrived = false
 	fetch := vproto.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch
@@ -1112,7 +1096,6 @@ func (n *Node) flushHeldApp() {
 	held := n.heldApp
 	n.heldApp = nil
 	n.recovering = false
-	n.guarded = n.fenced
 	for _, m := range held {
 		if m.Inc < n.peerEpoch[m.Src] {
 			n.stats.FencedStaleMsgs++
@@ -1210,7 +1193,6 @@ func (n *Node) PrepareRollback(crashed bool) {
 
 	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
 	n.recovering = true
-	n.guarded = true
 	n.imageArrived = false
 	fetch := vproto.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch

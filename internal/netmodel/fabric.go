@@ -93,8 +93,6 @@ func (n *Network) Link(src, dst int) *Link {
 	if n.links == nil {
 		n.links = make(map[int]*Link)
 	}
-	// The fabric is no longer untouched: every send must consult it.
-	n.plain = false
 	key := src*len(n.eps) + dst
 	l := n.links[key]
 	if l == nil {

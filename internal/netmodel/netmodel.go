@@ -79,15 +79,6 @@ type Network struct {
 	// the homogeneous topology keeps the uniform model's exact arithmetic.
 	links map[int]*Link
 
-	// plain is the fault-free send fast path: true while the fabric has
-	// never been touched and the medium is full-duplex, so Send can skip
-	// the link lookup, the degraded/down branches and the half-duplex
-	// coupling in one predictable test. Link() — the sole creator of
-	// fabric entries — clears it for the rest of the run. The fast path
-	// computes the exact same occupancy arithmetic as the general path,
-	// so timelines are byte-identical either way.
-	plain bool
-
 	// freeDeliveries recycles delivery events (and their pre-bound kernel
 	// closures) so that Send allocates nothing per message in steady state.
 	// The network belongs to exactly one single-threaded kernel, so a plain
@@ -196,7 +187,7 @@ func New(k *sim.Kernel, cfg Config, n int) *Network {
 	if cfg.BandwidthBps <= 0 || cfg.MTU <= 0 {
 		panic("netmodel: bandwidth and MTU must be positive")
 	}
-	net := &Network{k: k, cfg: cfg, plain: cfg.FullDuplex}
+	net := &Network{k: k, cfg: cfg}
 	for i := 0; i < n; i++ {
 		net.eps = append(net.eps, &Endpoint{
 			net:   net,
@@ -267,26 +258,6 @@ func (ep *Endpoint) Send(dst int, bytes int, payload any) {
 	}
 
 	ser := n.SerializationTime(bytes)
-
-	if n.plain {
-		// Fault-free full-duplex fabric: no links to consult, no
-		// degraded/down states, no tx/rx coupling. Same occupancy
-		// arithmetic as below, minus every branch that cannot fire.
-		depart := k.Now()
-		if ep.txFree > depart {
-			depart = ep.txFree
-		}
-		ep.txFree = depart + ser
-		ev := n.newDelivery(to, Delivery{Src: ep.id, Bytes: bytes, Payload: payload})
-		arrival := depart + n.cfg.Latency
-		if to.rxFree > arrival {
-			arrival = to.rxFree
-		}
-		deliverAt := arrival + ser
-		to.rxFree = deliverAt
-		k.At(deliverAt, ev.fire)
-		return
-	}
 
 	lat := n.cfg.Latency
 	lnk := n.link(ep.id, dst)
