@@ -17,10 +17,11 @@ type Proc struct {
 	k    *Kernel
 	name string
 
-	// next resumes the coroutine until it parks or finishes; a panic in
-	// the body resurfaces from next, in kernel context. yield, called from
-	// inside the coroutine, suspends it and reports false once stop has
-	// been called. stop unwinds a suspended or never-started coroutine.
+	// next resumes the coroutine until it parks or finishes (a no-op once
+	// it has returned); a panic in the body resurfaces from next, in
+	// kernel context. yield, called from inside the coroutine, suspends it
+	// and reports false once stop has been called. stop unwinds a
+	// suspended or never-started coroutine.
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 	stop  func()
@@ -49,7 +50,7 @@ type Proc struct {
 // does not run until the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, slot: len(k.unfinished)}
-	p.stepFn = func() { k.step(p) }
+	p.stepFn = func() { p.next() }
 	p.unparkFn = p.unpark
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -88,14 +89,6 @@ func (p *Proc) finish() {
 	k.unfinished[p.slot].slot = p.slot
 	k.unfinished[last] = nil
 	k.unfinished = k.unfinished[:last]
-}
-
-// step resumes p until it parks, finishes or dies. A panic in the process
-// body is re-raised here, in kernel context.
-func (k *Kernel) step(p *Proc) {
-	if !p.finished {
-		p.next()
-	}
 }
 
 // park blocks the calling process until another activity calls unpark. It
