@@ -26,8 +26,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -90,8 +92,12 @@ func main() {
 	res := bench.New(*label, revision(*sha), *short, measured)
 
 	for _, r := range res.Results {
-		fmt.Printf("%-24s %14.1f ns/op %8d B/op %6d allocs/op\n",
+		fmt.Printf("%-24s %14.1f ns/op %8d B/op %6d allocs/op",
 			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		for _, unit := range slices.Sorted(maps.Keys(r.Metrics)) {
+			fmt.Printf(" %12.0f %s", r.Metrics[unit], unit)
+		}
+		fmt.Println()
 	}
 
 	path := *out

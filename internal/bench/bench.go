@@ -29,6 +29,9 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	// Metrics holds the benchmark's own per-op counters (b.ReportMetric),
+	// keyed by unit: the macro cells' events/op and resumes/op.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Results is a run of the suite with its provenance — what future runs
@@ -127,6 +130,7 @@ func Run(names []string, progress func(name string)) ([]Result, error) {
 			AllocsPerOp: br.AllocsPerOp(),
 			BytesPerOp:  br.AllocedBytesPerOp(),
 			Iterations:  br.N,
+			Metrics:     br.Extra,
 		})
 	}
 	return results, nil

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -12,7 +13,8 @@ func results(label string, rs ...Result) *Results {
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), FileName("test"))
 	in := results("test",
-		Result{Name: "a", NsPerOp: 123.5, AllocsPerOp: 2, BytesPerOp: 64, Iterations: 1000},
+		Result{Name: "a", NsPerOp: 123.5, AllocsPerOp: 2, BytesPerOp: 64, Iterations: 1000,
+			Metrics: map[string]float64{"events/op": 51833, "resumes/op": 23036}},
 		Result{Name: "b", NsPerOp: 9.25, AllocsPerOp: 0, BytesPerOp: 0, Iterations: 5},
 	)
 	if err := in.Save(path); err != nil {
@@ -25,7 +27,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if out.Label != "test" || out.SHA != "deadbeef" || len(out.Results) != 2 {
 		t.Fatalf("round trip mangled envelope: %+v", out)
 	}
-	if got := out.Get("a"); got == nil || *got != in.Results[0] {
+	if got := out.Get("a"); got == nil || !reflect.DeepEqual(*got, in.Results[0]) {
 		t.Fatalf("Get(a) = %+v, want %+v", got, in.Results[0])
 	}
 	if out.Get("missing") != nil {

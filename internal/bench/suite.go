@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"mpichv/internal/causal"
@@ -53,7 +54,7 @@ func Suite() map[string]func(b *testing.B) {
 		"cell/vcausal-el-np16": cellBench(cluster.Config{NP: 16, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}, 4),
 		"cell/vcausal-el-np64": cellBench(cluster.Config{NP: 64, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}, 1),
 		"cell/coordinated":     cellBench(cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1),
-		"cell/storm-recovery":  benchStormRecovery,
+		"cell/storm-recovery":  cellBench(stormRecoveryCell, 1),
 		"sweep/fig7-small":     benchSweepFig7Small,
 	}
 }
@@ -232,6 +233,8 @@ func benchReplayServe(b *testing.B) {
 	for s := 1; s <= entries; s++ {
 		n.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 1024, SendSeq: uint64(s)})
 	}
+	var packets vproto.PacketPool
+	n.Packets = &packets
 	k.Spawn("server", func(p *sim.Proc) {
 		n.Bind(p)
 		for {
@@ -239,7 +242,7 @@ func benchReplayServe(b *testing.B) {
 		}
 	})
 	request := func() {
-		req := vproto.GetPacket()
+		req := packets.GetPacket()
 		req.Kind = vproto.PktDetRequest
 		req.From = 1
 		req.Creator = 1
@@ -270,52 +273,59 @@ func benchReplayServe(b *testing.B) {
 	k.Close() // the server loop is still parked
 }
 
-// cellBench runs one complete CG.A.4 simulation per iteration on the given
+// cellBench runs one complete CG.A simulation per iteration on the given
 // deployment — the macro cost of a sweep cell on that protocol stack. One
-// untimed warmup run fills the packet pools and lazy globals first: these
-// cells feed the zero-slack allocs/op equality gate, and a one-time fill
-// amortized over the iteration count would otherwise flip the reported
-// per-op allocs by ±1 between runs.
+// untimed warmup run fills the shared packet pool and lazy globals first:
+// these cells feed the zero-slack allocs/op equality gate, and a one-time
+// fill amortized over the iteration count would otherwise flip the
+// reported per-op allocs by ±1 between runs. The cell runs on one P: a
+// simulation is single-threaded anyway, and every spawned process is a
+// coroutine goroutine whose runtime record is recycled through per-P free
+// lists, so with a second P a migration mid-run can strand the recycled
+// records and cost a fresh allocation. Besides allocations, each cell
+// reports the kernel's work per run: events executed (events/op) and
+// process coroutine resumptions (resumes/op), both exact.
 func cellBench(cfg cluster.Config, iterScale int) func(b *testing.B) {
 	return func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		cfg := cfg
+		cfg.Packets = new(vproto.PacketPool)
+		var events, resumes uint64
 		runCell := func() {
 			in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP, IterScale: iterScale})
 			c := cluster.New(cfg)
 			c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
+			events += c.K.Events()
+			resumes += c.K.Resumes()
 		}
 		runCell()
+		events, resumes = 0, 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			runCell()
 		}
+		b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		b.ReportMetric(float64(resumes)/float64(b.N), "resumes/op")
 	}
 }
 
-// benchStormRecovery runs one CG.A.4 cell through two correlated
+// stormRecoveryCell is one CG.A.4 cell run through two correlated
 // multi-rank kills — four overlapping recoveries per iteration. It is the
 // macro benchmark of the recovery path: checkpoint restores, determinant
 // collection across concurrently restarting peers, replay-set assembly and
 // sender-log replay service (SenderLog.For), the paths the
 // recovery-allocation work targets.
-func benchStormRecovery(b *testing.B) {
-	plan := &faultplan.Plan{
+var stormRecoveryCell = cluster.Config{
+	NP: 4, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true,
+	CkptPolicy: checkpoint.PolicyRoundRobin, CkptInterval: 20 * sim.Millisecond,
+	RestartDelay:  20 * sim.Millisecond,
+	AppStateBytes: 256 << 10,
+	Faults: &faultplan.Plan{
 		Correlated: []faultplan.CorrelatedKill{
 			{At: 100 * sim.Millisecond, Ranks: []int{0, 1}},
 			{At: 400 * sim.Millisecond, Ranks: []int{2, 3}},
 		},
-	}
-	cfg := cluster.Config{
-		NP: 4, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true,
-		CkptPolicy: checkpoint.PolicyRoundRobin, CkptInterval: 20 * sim.Millisecond,
-		RestartDelay:  20 * sim.Millisecond,
-		AppStateBytes: 256 << 10,
-		Faults:        plan,
-	}
-	for i := 0; i < b.N; i++ {
-		in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP})
-		c := cluster.New(cfg)
-		c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
-	}
+	},
 }
 
 // benchSweepFig7Small runs a 2×3 Figure-7-style piggyback sweep (two NAS

@@ -42,6 +42,10 @@ type Scheduler struct {
 	// (fault-scenario engines use this to land faults mid-checkpoint).
 	waveObservers []func(epoch int)
 
+	// Packets is the free list outgoing packet shells are drawn from (the
+	// cluster shares one across the deployment; nil sends unpooled ones).
+	Packets *vproto.PacketPool
+
 	// Waves counts scheduling rounds issued.
 	Waves int64
 }
@@ -98,7 +102,7 @@ func (s *Scheduler) run(p *sim.Proc) {
 }
 
 func (s *Scheduler) request(rank int) {
-	pkt := vproto.GetPacket()
+	pkt := s.Packets.GetPacket()
 	pkt.Kind = vproto.PktCkptRequest
 	pkt.From = s.ep.ID()
 	pkt.Epoch = s.epoch

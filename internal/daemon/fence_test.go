@@ -18,7 +18,7 @@ func TestFenceDropsStaleIncarnationPackets(t *testing.T) {
 	_ = a
 	deliver := func(inc int, seq uint64) {
 		m := &vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 10, SendSeq: seq, Inc: inc}
-		pkt := vproto.GetPacket()
+		pkt := b.Packets.GetPacket()
 		pkt.Kind = vproto.PktApp
 		pkt.App = m
 		b.net.Endpoint(0).Send(1, 10, pkt)

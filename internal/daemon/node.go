@@ -125,6 +125,10 @@ type Node struct {
 
 	proc *sim.Proc
 
+	// Packets is the free list outgoing packet shells are drawn from (the
+	// cluster shares one across the deployment; nil sends unpooled ones).
+	Packets *vproto.PacketPool
+
 	// MPI receive machinery.
 	recvQ    []*vproto.Message
 	seqTrack []seqTracker
@@ -376,7 +380,9 @@ func (n *Node) SendPacket(endpoint int, bytes int, pkt *vproto.Packet) {
 // its own process.
 const computeChunk = 500 * sim.Microsecond
 
-// Compute models d of application computation.
+// Compute models d of application computation. The chunk boundaries are
+// polled in kernel context (sim.Proc.SleepPoll): the process only resumes
+// mid-computation when a boundary finds packets to drain.
 func (n *Node) Compute(d sim.Time) {
 	n.maybeCheckpoint()
 	n.step++
@@ -384,12 +390,7 @@ func (n *Node) Compute(d sim.Time) {
 		return
 	}
 	for d > 0 {
-		chunk := d
-		if chunk > computeChunk {
-			chunk = computeChunk
-		}
-		n.proc.Sleep(chunk)
-		d -= chunk
+		d = n.proc.SleepPoll(d, computeChunk, n.ep.Inbox)
 		n.drain()
 	}
 }
@@ -437,7 +438,7 @@ func (n *Node) emit(m *vproto.Message) {
 	n.stats.HeaderBytes += int64(n.Stack.HeaderBytes)
 	n.stats.PiggybackBytes += int64(m.PiggybackBytes)
 	n.stats.PiggybackEvents += int64(len(m.Piggyback))
-	pkt := vproto.GetPacket()
+	pkt := n.Packets.GetPacket()
 	pkt.Kind = vproto.PktApp
 	pkt.From = n.ep.ID()
 	pkt.App = m
@@ -668,7 +669,7 @@ func (n *Node) serveDetRequest(req detRequest) {
 		dets := n.Proto.HeldFor(req.creator)
 		bytes := event.FactoredSize(dets) + 32
 		n.ChargeCPU(sim.Time(len(dets)) * n.Cal.PerEventSend / 4)
-		resp := vproto.GetPacket()
+		resp := n.Packets.GetPacket()
 		resp.Kind = vproto.PktDetResponse
 		resp.Determinants = dets
 		resp.Incarnation = req.incarnation
@@ -800,7 +801,7 @@ func (n *Node) TakeCheckpoint() {
 	im := n.BuildImage()
 
 	n.awaitCkptAck = true
-	store := vproto.GetPacket()
+	store := n.Packets.GetPacket()
 	store.Kind = vproto.PktCkptStore
 	store.Image = im
 	store.Rank = n.rank
@@ -822,7 +823,7 @@ func (n *Node) TakeCheckpoint() {
 			if event.Rank(r) == n.rank {
 				continue
 			}
-			gc := vproto.GetPacket()
+			gc := n.Packets.GetPacket()
 			gc.Kind = vproto.PktCkptGC
 			gc.Rank = n.rank
 			gc.SeqFloor = im.LastSeqSeen.Get(r)
@@ -879,7 +880,7 @@ func (n *Node) PrepareRecovery() {
 	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
 	n.recovering = true
 	n.imageArrived = false
-	fetch := vproto.GetPacket()
+	fetch := n.Packets.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch
 	fetch.Rank = n.rank
 	fetch.Epoch = -1
@@ -924,7 +925,7 @@ func (n *Node) PrepareRecovery() {
 	n.collectedStab = nil
 	if n.ELEndpoint >= 0 {
 		n.detRespsWanted = 1
-		q := vproto.GetPacket()
+		q := n.Packets.GetPacket()
 		q.Kind = vproto.PktEventQuery
 		q.Creator = n.rank
 		q.Incarnation = n.recoveryEpoch
@@ -935,7 +936,7 @@ func (n *Node) PrepareRecovery() {
 			if event.Rank(r) == n.rank {
 				continue
 			}
-			req := vproto.GetPacket()
+			req := n.Packets.GetPacket()
 			req.Kind = vproto.PktDetRequest
 			req.Creator = n.rank
 			req.WantDets = true
@@ -957,7 +958,7 @@ func (n *Node) PrepareRecovery() {
 			if event.Rank(r) == n.rank {
 				continue
 			}
-			req := vproto.GetPacket()
+			req := n.Packets.GetPacket()
 			req.Kind = vproto.PktDetRequest
 			req.Creator = n.rank
 			req.SeqFloor = n.seqTrack[r].consumedFloor()
@@ -1194,7 +1195,7 @@ func (n *Node) PrepareRollback(crashed bool) {
 	n.Obs.Record(n.Now(), obs.KindRestoreBegin, int(n.rank), 0, "")
 	n.recovering = true
 	n.imageArrived = false
-	fetch := vproto.GetPacket()
+	fetch := n.Packets.GetPacket()
 	fetch.Kind = vproto.PktCkptFetch
 	fetch.Rank = n.rank
 	fetch.Epoch = -2 // latest complete wave

@@ -133,6 +133,16 @@ func TestNodeLamportPropagation(t *testing.T) {
 	}
 }
 
+// acceptProto records when the daemon accepts each application packet.
+type acceptProto struct {
+	nullProto
+	accepted []sim.Time
+}
+
+func (p *acceptProto) OnPacketAccepted(n *Node, _ *vproto.Message) {
+	p.accepted = append(p.accepted, n.Now())
+}
+
 func TestNodeComputeAdvancesClock(t *testing.T) {
 	k, a, _ := twoNodes(t)
 	var at sim.Time
@@ -147,6 +157,32 @@ func TestNodeComputeAdvancesClock(t *testing.T) {
 	}
 	if a.Step() != 1 {
 		t.Fatalf("step = %d, want 1", a.Step())
+	}
+
+	// A packet delivered 1.2 ms into the computation is accepted at the
+	// next 500 µs chunk boundary, and its receive cost delays the end.
+	k = sim.NewKernel(1)
+	net := netmodel.New(k, netmodel.FastEthernet(), 2)
+	proto := &acceptProto{}
+	a = NewNode(k, net, 0, 2, Vdaemon(), DefaultCalibration(), proto)
+	k.Spawn("a", func(p *sim.Proc) {
+		a.Bind(p)
+		a.Compute(5 * sim.Millisecond)
+		at = a.Now()
+	})
+	const bytes = 1000
+	k.At(1200*sim.Microsecond, func() {
+		m := &vproto.Message{Src: 1, Dst: 0, Tag: 1, Bytes: bytes, SendSeq: 1}
+		a.ep.Inbox.Put(netmodel.Delivery{Src: 1, Bytes: bytes, Payload: &vproto.Packet{Kind: vproto.PktApp, App: m}})
+	})
+	k.Run()
+	st := a.Stack
+	cpu := st.RecvOverhead + st.PipeOverhead + sim.Time(bytes*int64(st.CopyPerByte+st.PipePerByte))
+	if len(proto.accepted) != 1 || proto.accepted[0] != 1500*sim.Microsecond+cpu {
+		t.Fatalf("accepted at %v, want [%v] (1.5ms boundary + %v receive cost)", proto.accepted, 1500*sim.Microsecond+cpu, cpu)
+	}
+	if at != 5*sim.Millisecond+cpu {
+		t.Fatalf("compute with a delivery ended at %v, want %v", at, 5*sim.Millisecond+cpu)
 	}
 }
 

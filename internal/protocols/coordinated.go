@@ -116,7 +116,7 @@ func (c *Coordinated) TakeSnapshot(n *daemon.Node) {
 		if event.Rank(r) == n.Rank() {
 			continue
 		}
-		pkt := vproto.GetPacket()
+		pkt := n.Packets.GetPacket()
 		pkt.Kind = vproto.PktMarker
 		pkt.Rank = n.Rank()
 		pkt.Epoch = epoch
@@ -138,7 +138,7 @@ func (c *Coordinated) finish(n *daemon.Node) {
 	c.doneEpoch = im.Epoch
 	n.Stats().Checkpoints++
 	n.Stats().CheckpointBytes += im.Bytes()
-	pkt := vproto.GetPacket()
+	pkt := n.Packets.GetPacket()
 	pkt.Kind = vproto.PktCkptStore
 	pkt.Image = im
 	pkt.Rank = n.Rank()

@@ -49,7 +49,7 @@ func (p *Pessimistic) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	if fresh {
 		n.ChargeCPU(n.Cal.ELShip)
 		n.Stats().EventsLogged++
-		pkt := vproto.GetPacket()
+		pkt := n.Packets.GetPacket()
 		pkt.Kind = vproto.PktEventLog
 		pkt.SetDeterminant(d)
 		n.SendPacket(n.ELEndpoint, elLogPacketBytes, pkt)

@@ -139,7 +139,7 @@ func (v *Vcausal) OnDeliver(n *daemon.Node, m *vproto.Message) {
 	if fresh && v.useEL && n.ELEndpoint >= 0 {
 		n.ChargeCPU(n.Cal.ELShip)
 		n.Stats().EventsLogged++
-		pkt := vproto.GetPacket()
+		pkt := n.Packets.GetPacket()
 		pkt.Kind = vproto.PktEventLog
 		pkt.SetDeterminant(d)
 		n.SendPacket(n.ELEndpoint, elLogPacketBytes, pkt)

@@ -16,12 +16,29 @@ type Kernel struct {
 	rng     *rand.Rand
 	stopped bool
 
+	// lane is a FIFO ring of events scheduled for the current instant
+	// (process wakeups, spawn starts, poll checks): they run in seq order
+	// without a heap push and pop each. It lives inline in the Kernel so it
+	// never allocates; an At(now) that finds it full goes to the heap,
+	// which RunUntil merges with the lane by (at, seq).
+	lane     [laneCap]scheduled
+	laneHead int
+	laneLen  int
+
+	// events counts executed events, resumes coroutine resumptions: plain
+	// counters of the kernel's work, read by benchmarks.
+	events  uint64
+	resumes uint64
+
 	// unfinished holds every spawned process whose coroutine has not yet
 	// returned (killed-but-not-unwound ones included), so Close can
 	// release them; each Proc records its own slot.
 	unfinished []*Proc
 	liveProcs  int
 }
+
+// laneCap is the same-instant lane's capacity (a power of two).
+const laneCap = 128
 
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
@@ -37,15 +54,21 @@ func (k *Kernel) Now() Time { return k.now }
 // reproducibility.
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// is a programming error and panics: silently reordering time would corrupt
-// causality in every layer above.
+// At schedules fn to run at absolute virtual time t; an event for the
+// current instant joins the FIFO lane instead of the heap. Scheduling in
+// the past is a programming error and panics: silently reordering time
+// would corrupt causality in every layer above.
 func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		//lint:allow noalloctrans formatting happens only on the fatal scheduling-in-the-past abort, never on a live run
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
 	k.seq++
+	if t == k.now && k.laneLen < laneCap {
+		k.lane[(k.laneHead+k.laneLen)&(laneCap-1)] = scheduled{at: t, seq: k.seq, fn: fn}
+		k.laneLen++
+		return
+	}
 	k.queue.push(scheduled{at: t, seq: k.seq, fn: fn})
 }
 
@@ -68,17 +91,46 @@ func (k *Kernel) Run() Time {
 
 // RunUntil executes events with timestamps ≤ deadline and returns the final
 // virtual time (which may be earlier than deadline if the queue drains).
+// The clock never moves backwards: a deadline before now returns now.
 func (k *Kernel) RunUntil(deadline Time) Time {
-	for !k.stopped && k.queue.Len() > 0 {
-		if k.queue.peek().at > deadline {
-			k.now = deadline
+	for !k.stopped {
+		fromLane := k.laneLen > 0 && (k.queue.Len() == 0 || k.laneFirst())
+		var at Time
+		switch {
+		case fromLane:
+			at = k.lane[k.laneHead].at
+		case k.queue.Len() > 0:
+			at = k.queue.peek().at
+		default:
 			return k.now
 		}
-		ev := k.queue.pop()
+		if at > deadline {
+			k.now = max(k.now, deadline)
+			return k.now
+		}
+		var ev scheduled
+		if fromLane {
+			head := &k.lane[k.laneHead]
+			ev = *head
+			head.fn = nil
+			k.laneHead = (k.laneHead + 1) & (laneCap - 1)
+			k.laneLen--
+		} else {
+			ev = k.queue.pop()
+		}
 		k.now = ev.at
+		k.events++
 		ev.fn()
 	}
 	return k.now
+}
+
+// laneFirst reports whether the lane head precedes the heap top in
+// (at, seq) order. The heap may hold same-instant events: those scheduled
+// for now before the clock got here, and lane overflow.
+func (k *Kernel) laneFirst() bool {
+	top, head := &k.queue.items[0], &k.lane[k.laneHead]
+	return top.at > head.at || top.at == head.at && top.seq > head.seq
 }
 
 // Close releases every process that has not finished — parked server
@@ -103,5 +155,11 @@ func (k *Kernel) Close() {
 // finished or been killed.
 func (k *Kernel) LiveProcs() int { return k.liveProcs }
 
-// QueueLen reports the number of pending events (useful in tests).
-func (k *Kernel) QueueLen() int { return k.queue.Len() }
+// QueueLen reports the number of pending events, lane and heap together.
+func (k *Kernel) QueueLen() int { return k.queue.Len() + k.laneLen }
+
+// Events reports the number of events executed so far.
+func (k *Kernel) Events() uint64 { return k.events }
+
+// Resumes reports the number of times a process coroutine was resumed.
+func (k *Kernel) Resumes() uint64 { return k.resumes }

@@ -32,6 +32,14 @@ type Proc struct {
 	stepFn   func()
 	unparkFn func()
 
+	// Timed-park state (SleepPoll): pollLeft is the time still to sleep
+	// after the current step's timer, pollEvery the step length, and
+	// pollReady the backlog whose non-empty Len ends the sleep at a step
+	// boundary (nil for a plain Sleep).
+	pollLeft  Time
+	pollEvery Time
+	pollReady Backlog
+
 	// slot is p's index in the kernel's unfinished list.
 	slot int
 
@@ -50,7 +58,7 @@ type Proc struct {
 // does not run until the kernel loop reaches the start event.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, slot: len(k.unfinished)}
-	p.stepFn = func() { p.next() }
+	p.stepFn = p.step
 	p.unparkFn = p.unpark
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -103,6 +111,23 @@ func (p *Proc) park() {
 	}
 }
 
+// step is the event that resumes p. While p sleeps in SleepPoll it first
+// checks, in kernel context and at the queue position where the resumed
+// process would have looked, whether the process has anything to do: with
+// time left and an empty backlog it schedules the next step's timer itself
+// and leaves the coroutine parked. A killed or finished process is always
+// resumed (a no-op once it has returned).
+func (p *Proc) step() {
+	if r := p.pollReady; r != nil && p.pollLeft > 0 && !p.killed && r.Len() == 0 {
+		p.sleepStep()
+		return
+	}
+	if !p.finished {
+		p.k.resumes++
+	}
+	p.next()
+}
+
 // unpark schedules p to resume at the current virtual time. It is the only
 // legal way to wake a parked process.
 func (p *Proc) unpark() {
@@ -121,15 +146,39 @@ func (p *Proc) Now() Time { return p.k.now }
 // Sleep blocks the calling process for d nanoseconds of virtual time.
 // It models local computation as well as pure waiting; the network and CPU
 // layers charge their costs through Sleep.
-func (p *Proc) Sleep(d Time) {
+func (p *Proc) Sleep(d Time) { p.SleepPoll(d, d, nil) }
+
+// Backlog is the work queue a polling sleep watches: a mailbox, typically.
+type Backlog interface{ Len() int }
+
+// SleepPoll blocks the calling process for up to d of virtual time, cut
+// into steps of at most every. At each step boundary before the last it
+// returns early if ready holds anything, and it reports the time left to
+// sleep. It is exactly a loop of Sleep(min(d, every)) calls that checks
+// ready.Len() after each wakeup, except that a check finding nothing runs
+// in kernel context and never resumes the process.
+func (p *Proc) SleepPoll(d, every Time, ready Backlog) (left Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %v", d))
 	}
 	if d == 0 {
-		return
+		return 0
 	}
-	p.k.After(d, p.unparkFn)
+	if every <= 0 {
+		panic(fmt.Sprintf("sim: non-positive poll step %v", every))
+	}
+	p.pollLeft, p.pollEvery, p.pollReady = d, every, ready
+	p.sleepStep()
 	p.park()
+	p.pollReady = nil
+	return p.pollLeft
+}
+
+// sleepStep schedules the timer that ends the next step of a timed park.
+func (p *Proc) sleepStep() {
+	step := min(p.pollLeft, p.pollEvery)
+	p.pollLeft -= step
+	p.k.After(step, p.unparkFn)
 }
 
 // Yield parks the process and immediately reschedules it, letting every
