@@ -234,7 +234,6 @@ func benchReplayServe(b *testing.B) {
 		n.Log.Append(vproto.Message{Src: 0, Dst: 1, Tag: 1, Bytes: 1024, SendSeq: uint64(s)})
 	}
 	var packets vproto.PacketPool
-	n.Packets = &packets
 	k.Spawn("server", func(p *sim.Proc) {
 		n.Bind(p)
 		for {
@@ -274,22 +273,22 @@ func benchReplayServe(b *testing.B) {
 }
 
 // cellBench runs one complete CG.A simulation per iteration on the given
-// deployment — the macro cost of a sweep cell on that protocol stack. One
-// untimed warmup run fills the shared packet pool and lazy globals first:
+// deployment — the macro cost of a sweep cell on that protocol stack. Each
+// run builds its own packet pools, so a run allocates the same objects as
+// a harness cell does. One untimed warmup run fills lazy globals first:
 // these cells feed the zero-slack allocs/op equality gate, and a one-time
 // fill amortized over the iteration count would otherwise flip the
-// reported per-op allocs by ±1 between runs. The cell runs on one P: a
-// simulation is single-threaded anyway, and every spawned process is a
-// coroutine goroutine whose runtime record is recycled through per-P free
-// lists, so with a second P a migration mid-run can strand the recycled
-// records and cost a fresh allocation. Besides allocations, each cell
+// reported per-op allocs by ±1 between runs. The measurement is pinned to
+// one P, and the exact count relies on that pin, not on the code: every
+// spawned process is a coroutine goroutine whose runtime record is
+// recycled through per-P free lists, so with a second P a migration
+// mid-run can strand recycled records and cost fresh allocations (harness
+// cells run unpinned and see that jitter). Besides allocations, each cell
 // reports the kernel's work per run: events executed (events/op) and
 // process coroutine resumptions (resumes/op), both exact.
 func cellBench(cfg cluster.Config, iterScale int) func(b *testing.B) {
 	return func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		cfg := cfg
-		cfg.Packets = new(vproto.PacketPool)
 		var events, resumes uint64
 		runCell := func() {
 			in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP, IterScale: iterScale})

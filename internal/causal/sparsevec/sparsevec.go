@@ -71,20 +71,6 @@ func New(np int) *Vec {
 // NP returns the world size the vector is bound to (0 for the zero value).
 func (v *Vec) NP() int { return v.np }
 
-// Full returns an empty vector for a world of np creators whose backing
-// arrays already hold the whole world in either form, so copying or
-// folding any np-world vector into it never allocates: pooled buffers
-// built this way cost the same to fill whichever one is drawn.
-func Full(np int) Vec {
-	words := make([]uint64, 2*np)
-	return Vec{
-		np:       np,
-		creators: make([]int32, 0, np),
-		floors:   words[:0:np],
-		dense:    words[np:np],
-	}
-}
-
 // Reset empties the vector and binds it to a world of np creators. Backing
 // arrays are kept for reuse, so a pooled vector resets without allocating.
 //

@@ -42,9 +42,8 @@ type Scheduler struct {
 	// (fault-scenario engines use this to land faults mid-checkpoint).
 	waveObservers []func(epoch int)
 
-	// Packets is the free list outgoing packet shells are drawn from (the
-	// cluster shares one across the deployment; nil sends unpooled ones).
-	Packets *vproto.PacketPool
+	// packets is the free list outgoing packet shells are drawn from.
+	packets vproto.PacketPool
 
 	// Waves counts scheduling rounds issued.
 	Waves int64
@@ -102,7 +101,7 @@ func (s *Scheduler) run(p *sim.Proc) {
 }
 
 func (s *Scheduler) request(rank int) {
-	pkt := s.Packets.GetPacket()
+	pkt := s.packets.GetPacket()
 	pkt.Kind = vproto.PktCkptRequest
 	pkt.From = s.ep.ID()
 	pkt.Epoch = s.epoch

@@ -54,9 +54,8 @@ type Server struct {
 	// served only after the server comes back (see Suspend).
 	suspendedUntil sim.Time
 
-	// Packets is the free list outgoing packet shells are drawn from (the
-	// cluster shares one across the deployment; nil sends unpooled ones).
-	Packets *vproto.PacketPool
+	// packets is the free list outgoing packet shells are drawn from.
+	packets vproto.PacketPool
 
 	// Stores counts committed store transactions.
 	Stores int64
@@ -113,7 +112,7 @@ func (s *Server) handle(d netmodel.Delivery) {
 		// delivers whole messages), so images are always intact.
 		s.k.After(delay, func() {
 			s.commit(im)
-			ack := s.Packets.GetPacket()
+			ack := s.packets.GetPacket()
 			ack.Kind = vproto.PktCkptAck
 			ack.From = s.ep.ID()
 			ack.Rank = im.Rank
@@ -137,7 +136,7 @@ func (s *Server) handle(d netmodel.Delivery) {
 			bytes = im.Bytes()
 		}
 		s.k.After(s.outageDelay()+s.cfg.FixedPerOp, func() {
-			resp := s.Packets.GetPacket()
+			resp := s.packets.GetPacket()
 			resp.Kind = vproto.PktCkptImage
 			resp.From = s.ep.ID()
 			resp.Image = im

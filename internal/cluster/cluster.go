@@ -20,7 +20,6 @@ import (
 	"mpichv/internal/protocols"
 	"mpichv/internal/sim"
 	"mpichv/internal/trace"
-	"mpichv/internal/vproto"
 )
 
 // Stack names selectable in Config.
@@ -106,12 +105,6 @@ type Config struct {
 	// RecordDeliveries enables per-step delivery logging on every node
 	// (consistency validation in tests).
 	RecordDeliveries bool
-
-	// Packets, when non-nil, is the packet free list the deployment draws
-	// from; nil gives the run a fresh one. Runs executed one after another
-	// on one goroutine may share a pool (a benchmark loop does, so its
-	// allocation count repeats exactly); concurrent runs must not.
-	Packets *vproto.PacketPool
 }
 
 // Cluster is a wired deployment ready to run programs.
@@ -231,10 +224,6 @@ func New(cfg Config) *Cluster {
 	net := netmodel.New(k, cfg.Net, schedEndpoint+1)
 
 	c := &Cluster{Cfg: cfg, K: k, Net: net}
-	packets := cfg.Packets
-	if packets == nil {
-		packets = new(vproto.PacketPool)
-	}
 	if cfg.Trace != nil {
 		c.Timeline = obs.NewRecorder()
 	}
@@ -264,13 +253,10 @@ func New(cfg Config) *Cluster {
 		c.EL = c.ELGroup.Servers()[0]
 		for _, s := range c.ELGroup.Servers() {
 			s.Obs = c.Timeline
-			s.Packets = packets
 		}
 	}
 	c.CkptServer = checkpoint.NewServer(k, net, ckptEndpoint, cfg.NP, cfg.CkptServer)
 	c.Scheduler = checkpoint.NewScheduler(k, net, schedEndpoint, cfg.NP, cfg.CkptPolicy, cfg.CkptInterval)
-	c.CkptServer.Packets = packets
-	c.Scheduler.Packets = packets
 	if c.Timeline != nil {
 		c.Scheduler.ObserveWaves(func(epoch int) {
 			c.Timeline.Record(k.Now(), obs.KindCkptWave, -1, int64(epoch), "")
@@ -284,7 +270,6 @@ func New(cfg Config) *Cluster {
 		n.DispatcherEndpoint = schedEndpoint
 		n.AppStateBytes = cfg.AppStateBytes
 		n.RecordDeliveries = cfg.RecordDeliveries
-		n.Packets = packets
 		if wantEL {
 			n.ELEndpoint = c.ELGroup.EndpointFor(event.Rank(r))
 		}

@@ -125,9 +125,9 @@ type Node struct {
 
 	proc *sim.Proc
 
-	// Packets is the free list outgoing packet shells are drawn from (the
-	// cluster shares one across the deployment; nil sends unpooled ones).
-	Packets *vproto.PacketPool
+	// Packets is the free list this node's outgoing packet shells are
+	// drawn from (protocol stacks send through it too).
+	Packets vproto.PacketPool
 
 	// MPI receive machinery.
 	recvQ    []*vproto.Message

@@ -133,7 +133,7 @@ func (g *Group) syncLoop(p *sim.Proc, s *Server) {
 		// whichever copies are still in flight.
 		for _, peer := range g.servers {
 			if peer != s {
-				pkt := s.Packets.GetPacket()
+				pkt := s.packets.GetPacket()
 				pkt.Kind = vproto.PktELSync
 				pkt.From = s.ep.ID()
 				pkt.AckVec(g.np).CopyFrom(s.stable)
@@ -144,7 +144,7 @@ func (g *Group) syncLoop(p *sim.Proc, s *Server) {
 			for r := 0; r < g.np; r++ {
 				// Nodes treat the broadcast exactly like an acknowledgment:
 				// both carry a stable array.
-				pkt := s.Packets.GetPacket()
+				pkt := s.packets.GetPacket()
 				pkt.Kind = vproto.PktEventAck
 				pkt.From = s.ep.ID()
 				pkt.AckVec(g.np).CopyFrom(s.stable)

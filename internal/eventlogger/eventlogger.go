@@ -84,9 +84,8 @@ type Server struct {
 	// recorder costs one branch.
 	Obs *obs.Recorder
 
-	// Packets is the free list outgoing packet shells are drawn from (the
-	// cluster shares one across the deployment; nil sends unpooled ones).
-	Packets *vproto.PacketPool
+	// packets is the free list outgoing packet shells are drawn from.
+	packets vproto.PacketPool
 
 	// group and serverIdx are set when the server belongs to a distributed
 	// Event Logger group (nil/0 for the classic single logger).
@@ -142,7 +141,7 @@ func (s *Server) run(p *sim.Proc) {
 			// The acknowledgment's stable vector rides in packet-owned
 			// scratch (AckVec): no consumer retains it past processing,
 			// so the logging round-trip allocates nothing in steady state.
-			ack := s.Packets.GetPacket()
+			ack := s.packets.GetPacket()
 			ack.Kind = vproto.PktEventAck
 			ack.From = s.ep.ID()
 			ack.AckVec(s.np).CopyFrom(s.stable)
@@ -160,7 +159,7 @@ func (s *Server) run(p *sim.Proc) {
 			// (determinants and stable vector both), so they must carry
 			// freshly allocated slices, never packet scratch.
 			dets := append([]event.Determinant(nil), s.store[pkt.Creator]...)
-			resp := s.Packets.GetPacket()
+			resp := s.packets.GetPacket()
 			resp.Kind = vproto.PktEventQueryResp
 			resp.From = s.ep.ID()
 			resp.Determinants = dets

@@ -114,8 +114,8 @@ type Packet struct {
 	Determinants []event.Determinant
 	// StableVec is set for PktEventAck, PktELSync and PktEventQueryResp: the
 	// interval-coded stable vector (highest safely stored clock per active
-	// creator). Ack-class packets point it at a pooled buffer (see AckVec);
-	// query responses carry freshly allocated vectors because the
+	// creator). Ack-class packets point it at the pooled inline buffer (see
+	// AckVec); query responses carry freshly allocated vectors because the
 	// recovering node retains them.
 	StableVec *sparsevec.Vec
 	// Creator scopes PktEventQuery / PktDetRequest.
@@ -144,13 +144,15 @@ type Packet struct {
 	// shipment — the highest-rate control packet in the system — so that
 	// pooled packets carry it without a per-send slice allocation.
 	det [1]event.Determinant
-	// pool is the free list the packet returns to on PutPacket (nil for an
-	// unpooled packet). stableBuf is the stable-vector storage behind
-	// AckVec; its backing arrays are lent by the pool (lent) and go back to
-	// it with the shell, so a recycled shell carries no history.
-	pool      *PacketPool
+	// stableBuf is the reusable stable-vector storage behind AckVec. Its
+	// run list survives pooling cycles sized by the *active* creator count,
+	// so an acknowledgment in an NP=1024 world costs O(active creators) —
+	// the pooled shell no longer drags a world-sized scratch array around.
 	stableBuf sparsevec.Vec
-	lent      bool
+	// pool is the free list the packet returns to on PutPacket (nil for a
+	// packet built as a literal), and next links it there.
+	pool *PacketPool
+	next *Packet
 }
 
 // SetDeterminant attaches a single determinant using the packet's inline
@@ -164,8 +166,8 @@ func (p *Packet) SetDeterminant(d event.Determinant) {
 	p.Determinants = p.det[:1]
 }
 
-// AckVec points StableVec at the packet's stable-vector buffer, reset for
-// a world of n creators, and returns it for the caller to fill. It must
+// AckVec points StableVec at the packet-owned interval-coded buffer, reset
+// for a world of n creators, and returns it for the caller to fill. It must
 // only be used for packet kinds whose consumers do not retain StableVec
 // past packet processing (PktEventAck and PktELSync); recovery responses
 // (PktEventQueryResp) are retained by the recovering node and must carry
@@ -173,24 +175,22 @@ func (p *Packet) SetDeterminant(d event.Determinant) {
 //
 //mpichv:noalloc
 func (p *Packet) AckVec(n int) *sparsevec.Vec {
-	p.pool.lend(p, n)
+	p.stableBuf.Reset(n)
 	p.StableVec = &p.stableBuf
 	return p.StableVec
 }
 
-// PacketPool recycles Packet shells, and the stable-vector buffers behind
-// AckVec, through plain LIFO free lists. A pool is single-goroutine state:
-// one simulation run owns it, or a sequence of runs on one goroutine (a
-// benchmark loop) shares it. Its reuse is therefore a pure function of the
-// runs it served, so a repeated run allocates exactly the same number of
-// objects every time, where a sync.Pool's per-P caches would make the
-// count follow goroutine migration. Every buffer is reserved for a whole
-// world, so which one a packet draws never changes what filling it costs.
-// The nil *PacketPool hands out unpooled packets that PutPacket leaves to
-// the garbage collector.
+// PacketPool recycles Packet shells through an intrusive LIFO free list.
+// Every sending component (daemon node, Event Logger server, checkpoint
+// server and scheduler) owns one, and a packet returns to the pool it was
+// drawn from whichever component consumes it. A pool lives inside one
+// single-threaded simulation run, so its reuse is a pure function of that
+// run: a repeated run allocates exactly the same shells every time, which
+// a process-wide sync.Pool, whose per-P caches follow goroutine migration,
+// cannot promise.
+// The zero value is an empty pool.
 type PacketPool struct {
-	free []*Packet
-	vecs []sparsevec.Vec
+	free *Packet
 }
 
 // GetPacket returns a zeroed packet from the pool. Senders fill it and hand
@@ -198,62 +198,27 @@ type PacketPool struct {
 //
 //mpichv:amortized free-list refill: a shell is allocated only when the list is empty; steady traffic recycles
 func (pp *PacketPool) GetPacket() *Packet {
-	if pp == nil {
-		return new(Packet)
-	}
-	n := len(pp.free)
-	if n == 0 {
+	p := pp.free
+	if p == nil {
 		return &Packet{pool: pp}
 	}
-	p := pp.free[n-1]
-	pp.free[n-1] = nil
-	pp.free = pp.free[:n-1]
+	pp.free, p.next = p.next, nil
 	return p
-}
-
-// lend resets p's stable-vector buffer for n creators, first giving p
-// storage reserved for n from the free list if it holds none yet.
-//
-//mpichv:amortized free-list refill: a buffer is allocated only when the list is empty; steady traffic recycles
-func (pp *PacketPool) lend(p *Packet, n int) {
-	if !p.lent {
-		p.lent = true
-		if pp == nil || len(pp.vecs) == 0 {
-			p.stableBuf = sparsevec.Full(n)
-			return
-		}
-		last := len(pp.vecs) - 1
-		p.stableBuf = pp.vecs[last]
-		pp.vecs[last] = sparsevec.Vec{}
-		pp.vecs = pp.vecs[:last]
-	}
-	p.stableBuf.Reset(n)
-}
-
-// release returns a reset packet shell, and the stable-vector storage it
-// borrowed (if lent), to pp.
-//
-//mpichv:amortized free-list growth: the lists grow to the pool's high-water mark once and are reused thereafter
-func (pp *PacketPool) release(p *Packet, vec sparsevec.Vec, lent bool) {
-	if lent {
-		pp.vecs = append(pp.vecs, vec)
-	}
-	pp.free = append(pp.free, p)
 }
 
 // PutPacket resets p and returns it to its pool. Retained payloads (App
 // messages, checkpoint images, recovery stable vectors) live on with their
-// retainers; only the shell and its stable-vector storage are recycled.
-// Callers must be the packet's single terminal consumer.
+// retainers; only the shell and its inline scratch are recycled. Callers
+// must be the packet's single terminal consumer.
 //
 //mpichv:noalloc
 func PutPacket(p *Packet) {
 	if p == nil || p.pool == nil {
 		return
 	}
-	pp, vec, lent := p.pool, p.stableBuf, p.lent
-	*p = Packet{pool: pp}
-	pp.release(p, vec, lent)
+	pp, vec := p.pool, p.stableBuf
+	*p = Packet{stableBuf: vec, pool: pp, next: pp.free}
+	pp.free = p
 }
 
 // CheckpointImage is a process state snapshot as stored by the checkpoint
