@@ -187,8 +187,7 @@ func (p *Packet) AckVec(n int) *sparsevec.Vec {
 // single-threaded simulation run, so its reuse is a pure function of that
 // run: a repeated run allocates exactly the same shells every time, which
 // a process-wide sync.Pool, whose per-P caches follow goroutine migration,
-// cannot promise.
-// The zero value is an empty pool.
+// cannot promise. The zero value is an empty pool.
 type PacketPool struct {
 	free *Packet
 }
