@@ -3,6 +3,7 @@ package bench
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -275,5 +276,40 @@ func TestRatchetShortMismatchAllocWarmupWobble(t *testing.T) {
 	cur.Results[0].AllocsPerOp = 75236
 	if regs, _ := Ratchet(cur, best, 5); len(regs) != 1 || regs[0].Metric != "allocs/op" {
 		t.Fatalf("same-mode alloc growth beyond the absolute slack must gate: %v", regs)
+	}
+}
+
+func TestRatchetGatesKernelCountersExactly(t *testing.T) {
+	counters := func(events, resumes float64) map[string]float64 {
+		return map[string]float64{"events/op": events, "resumes/op": resumes}
+	}
+	best := results("best",
+		Result{Name: "cell", NsPerOp: 8e6, AllocsPerOp: 100, Metrics: counters(5000, 1200)},
+		Result{Name: "micro", NsPerOp: 10},
+	)
+	for _, short := range []bool{false, true} {
+		cur := results("cur",
+			Result{Name: "cell", NsPerOp: 8e6, AllocsPerOp: 100, Metrics: counters(5001, 1200)},
+			Result{Name: "micro", NsPerOp: 10},
+		)
+		cur.Short = short
+		regs, improved := Ratchet(cur, best, 5)
+		if len(regs) != 1 || regs[0].Metric != "events/op" || regs[0].Cur != 5001 || improved {
+			t.Fatalf("short=%v: one more event per op: regs=%v improved=%v, want one events/op regression", short, regs, improved)
+		}
+		cur.Results[0].Metrics = counters(5000, 1201)
+		if regs, _ := Ratchet(cur, best, 5); len(regs) != 1 || regs[0].Metric != "resumes/op" {
+			t.Fatalf("short=%v: one more resume per op: regs=%v, want one resumes/op regression", short, regs)
+		}
+		cur.Results[0].Metrics = map[string]float64{"events/op": 5000}
+		if regs, _ := Ratchet(cur, best, 5); len(regs) != 1 || regs[0].Metric != "resumes/op" ||
+			!strings.Contains(regs[0].String(), "not reported") {
+			t.Fatalf("short=%v: dropped counter: regs=%v, want one resumes/op regression", short, regs)
+		}
+		cur.Results[0].Metrics = counters(4000, 1200)
+		regs, improved = Ratchet(cur, best, 5)
+		if len(regs) != 0 || improved == short {
+			t.Fatalf("short=%v: fewer events: regs=%v improved=%v, want clean, advancing only full-length", short, regs, improved)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CalibName is the CPU-speed calibration benchmark: a fixed arithmetic
 // spin whose ns/op tracks single-core throughput of the host. Compare uses
@@ -15,10 +18,15 @@ const CalibName = "calib/spin"
 // between runs depending on warmup.
 const allocSlack = 2
 
+// kernelCounters are the Metrics units the ratchet holds exactly: the
+// macro cells' kernel work per op. Each op is one deterministic run, so
+// the counts do not depend on the measuring mode or the machine.
+var kernelCounters = []string{"events/op", "resumes/op"}
+
 // Regression is one gate violation.
 type Regression struct {
 	Name   string
-	Metric string // "ns/op" or "allocs/op"
+	Metric string // "ns/op", "allocs/op", a kernel counter, or "missing"
 	Base   float64
 	Cur    float64 // normalized for ns/op
 	Pct    float64 // relative increase, in percent
@@ -27,6 +35,9 @@ type Regression struct {
 func (r Regression) String() string {
 	if r.Metric == "missing" {
 		return fmt.Sprintf("%s: missing from this run or the baseline", r.Name)
+	}
+	if math.IsNaN(r.Cur) {
+		return fmt.Sprintf("%s: %s not reported by this run", r.Name, r.Metric)
 	}
 	return fmt.Sprintf("%s: %s %.6g -> %.6g (+%.1f%%)", r.Name, r.Metric, r.Base, r.Cur, r.Pct)
 }
@@ -71,9 +82,11 @@ func EqualAllocs(cur, base *Results, names []string) []Regression {
 // relative noise band: a -short run amortizes pool warmup over far
 // fewer iterations and reads a fraction of a percent above any
 // full-length best on the macro cells, which is warmup arithmetic, not
-// a hot-path allocation. The boolean reports
+// a hot-path allocation. The kernel counters (events/op, resumes/op) are
+// held exactly in every mode: any increase over best, or a counter best
+// has and cur lacks, is a regression. The boolean reports
 // an improvement worth recording: some benchmark beat best by more than
-// the noise band, dropped allocations, or appeared fresh, which is
+// the noise band, dropped allocations or kernel work, or appeared fresh, which is
 // cmd/bench's cue to rewrite the best file with this run. Improvements
 // are only reported when the modes match — a -short run must never
 // become the recorded best of a full-length trajectory. Because
@@ -121,6 +134,21 @@ func Ratchet(cur, best *Results, noisePct float64) ([]Regression, bool) {
 			}
 		} else if c.AllocsPerOp < b.AllocsPerOp {
 			improved = true
+		}
+		for _, unit := range kernelCounters {
+			bv, ok := b.Metrics[unit]
+			if !ok {
+				continue
+			}
+			cv, ok := c.Metrics[unit]
+			switch {
+			case !ok:
+				regs = append(regs, Regression{Name: b.Name, Metric: unit, Base: bv, Cur: math.NaN()})
+			case cv > bv:
+				regs = append(regs, Regression{Name: b.Name, Metric: unit, Base: bv, Cur: cv, Pct: (cv - bv) / bv * 100})
+			case cv < bv:
+				improved = true
+			}
 		}
 	}
 	for i := range cur.Results {

@@ -44,18 +44,22 @@ func Suite() map[string]func(b *testing.B) {
 		"vproto/enc-factored":   benchEncodeFactored,
 		"vproto/enc-flat":       benchEncodeFlat,
 		"daemon/replay-serve":   benchReplayServe,
-		"cell/vdummy":           cellBench(cluster.Config{NP: 4, Stack: cluster.StackVdummy}, 1),
-		"cell/pessimistic":      cellBench(cluster.Config{NP: 4, Stack: cluster.StackPessimistic}, 1),
-		"cell/vcausal-el":       cellBench(cluster.Config{NP: 4, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}, 1),
+		"cell/vdummy":           cellBench(cgA4, cluster.Config{NP: 4, Stack: cluster.StackVdummy}),
+		"cell/pessimistic":      cellBench(cgA4, cluster.Config{NP: 4, Stack: cluster.StackPessimistic}),
+		"cell/vcausal-el":       cellBench(cgA4, cluster.Config{NP: 4, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}),
 		// NP scaling gates: both cells run the same total message volume
 		// (iterations scale inversely with NP), so allocs/op at NP 64 must
 		// stay within 2x of NP 16 — world size must not leak into the
 		// per-message allocation profile (sparse causality state).
-		"cell/vcausal-el-np16": cellBench(cluster.Config{NP: 16, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}, 4),
-		"cell/vcausal-el-np64": cellBench(cluster.Config{NP: 64, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}, 1),
-		"cell/coordinated":     cellBench(cluster.Config{NP: 4, Stack: cluster.StackCoordinated}, 1),
-		"cell/storm-recovery":  cellBench(stormRecoveryCell, 1),
-		"sweep/fig7-small":     benchSweepFig7Small,
+		"cell/vcausal-el-np16": cellBench(workload.Spec{Bench: "cg", Class: "A", NP: 16, IterScale: 4}, cluster.Config{NP: 16, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}),
+		"cell/vcausal-el-np64": cellBench(workload.Spec{Bench: "cg", Class: "A", NP: 64}, cluster.Config{NP: 64, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}),
+		"cell/coordinated":     cellBench(cgA4, cluster.Config{NP: 4, Stack: cluster.StackCoordinated}),
+		"cell/storm-recovery":  cellBench(cgA4, stormRecoveryCell),
+		// BT computes in long phases between exchanges: the cell where
+		// polling sleeps skip most of their empty checks.
+		"cell/bt-compute": cellBench(workload.Spec{Bench: "bt", Class: "A", NP: 9},
+			cluster.Config{NP: 9, Stack: cluster.StackVcausal, Reducer: "manetho", UseEL: true}),
+		"sweep/fig7-small": benchSweepFig7Small,
 	}
 }
 
@@ -272,7 +276,10 @@ func benchReplayServe(b *testing.B) {
 	k.Close() // the server loop is still parked
 }
 
-// cellBench runs one complete CG.A simulation per iteration on the given
+// cgA4 is the workload of the NP-4 macro cells.
+var cgA4 = workload.Spec{Bench: "cg", Class: "A", NP: 4}
+
+// cellBench runs one complete simulation of spec per iteration on the given
 // deployment — the macro cost of a sweep cell on that protocol stack. Each
 // run builds its own packet pools, so a run allocates the same objects as
 // a harness cell does. One untimed warmup run fills lazy globals first:
@@ -286,12 +293,12 @@ func benchReplayServe(b *testing.B) {
 // cells run unpinned and see that jitter). Besides allocations, each cell
 // reports the kernel's work per run: events executed (events/op) and
 // process coroutine resumptions (resumes/op), both exact.
-func cellBench(cfg cluster.Config, iterScale int) func(b *testing.B) {
+func cellBench(spec workload.Spec, cfg cluster.Config) func(b *testing.B) {
 	return func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var events, resumes uint64
 		runCell := func() {
-			in := workload.Build(workload.Spec{Bench: "cg", Class: "A", NP: cfg.NP, IterScale: iterScale})
+			in := workload.Build(spec)
 			c := cluster.New(cfg)
 			c.Run(in.Programs, harness.DefaultMaxVirtual).MustCompleted()
 			events += c.K.Events()

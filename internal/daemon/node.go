@@ -377,7 +377,11 @@ func (n *Node) SendPacket(endpoint int, bytes int, pkt *vproto.Packet) {
 // application computation: between chunks it drains delivered packets, so
 // incoming messages are accepted and recovery/control requests are served
 // while the application computes — as the real MPICH-V daemon does from
-// its own process.
+// its own process. The model checks at every chunk boundary; the kernel
+// runs only the checks that could find a packet, skipping the boundaries
+// before the earliest instant anything can be delivered, so a long
+// computation between messages costs a handful of events, not one pair
+// per chunk.
 const computeChunk = 500 * sim.Microsecond
 
 // Compute models d of application computation. The chunk boundaries are

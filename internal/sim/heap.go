@@ -58,14 +58,6 @@ func (h *eventHeap) pop() scheduled {
 	return top
 }
 
-// peek returns the earliest event without removing it.
-func (h *eventHeap) peek() scheduled {
-	if len(h.items) == 0 {
-		panic("sim: peek at empty event queue (kernel invariant violation)")
-	}
-	return h.items[0]
-}
-
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.items)
 	for {

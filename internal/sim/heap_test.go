@@ -14,7 +14,6 @@ func TestEmptyHeapPopDiagnostic(t *testing.T) {
 		call func(h *eventHeap)
 	}{
 		{"pop", func(h *eventHeap) { h.pop() }},
-		{"peek", func(h *eventHeap) { h.peek() }},
 	} {
 		t.Run(op.name, func(t *testing.T) {
 			defer func() {

@@ -35,7 +35,32 @@ type Kernel struct {
 	// release them; each Proc records its own slot.
 	unfinished []*Proc
 	liveProcs  int
+
+	// Lookahead state of the polling sleeps (Proc.SleepPoll). checks
+	// holds each pending step-boundary check whose backlog is empty, by
+	// (at, seq): RunUntil merges it with the lane and the heap, but it
+	// bounds no lookahead horizon. lasts holds every polling process that
+	// has not armed its last step yet, keyed by its last intermediate
+	// boundary, the latest instant that process can still resume from
+	// inside its sleep. laneQuiet counts the lane entries that are such
+	// empty checks. capAt and capTo record the nearest check armed at the
+	// current instant (see Proc.sleepStep), deadline the running
+	// RunUntil's, and pollStep the one step length every polling sleep
+	// on the kernel shares.
+	checks    procHeap
+	lasts     procHeap
+	laneQuiet int
+	capAt     Time
+	capTo     Time
+	deadline  Time
+	pollStep  Time
 }
+
+// The Proc.heap slots of the two process heaps.
+const (
+	checksHeap = iota
+	lastsHeap
+)
 
 // laneCap is the same-instant lane's capacity (a power of two).
 const laneCap = 128
@@ -43,7 +68,12 @@ const laneCap = 128
 // NewKernel returns a kernel with the clock at zero and a deterministic
 // random source derived from seed.
 func NewKernel(seed int64) *Kernel {
-	return &Kernel{rng: rand.New(rand.NewSource(seed))}
+	return &Kernel{
+		rng:    rand.New(rand.NewSource(seed)),
+		checks: procHeap{which: checksHeap},
+		lasts:  procHeap{which: lastsHeap},
+		capAt:  -1,
+	}
 }
 
 // Now returns the current virtual time.
@@ -92,45 +122,85 @@ func (k *Kernel) Run() Time {
 // RunUntil executes events with timestamps ≤ deadline and returns the final
 // virtual time (which may be earlier than deadline if the queue drains).
 // The clock never moves backwards: a deadline before now returns now.
+// Lane, heap and pending polling checks (k.checks) run merged in
+// (at, seq) order, the checks where the step timers they stand for would
+// run. The heap may hold same-instant events too: those scheduled for now
+// before the clock got here, lane overflow, and checks with work waiting.
 func (k *Kernel) RunUntil(deadline Time) Time {
+	k.deadline = deadline
 	for !k.stopped {
-		fromLane := k.laneLen > 0 && (k.queue.Len() == 0 || k.laneFirst())
-		var at Time
-		switch {
-		case fromLane:
-			at = k.lane[k.laneHead].at
-		case k.queue.Len() > 0:
-			at = k.queue.peek().at
-		default:
+		src, at, seq := srcNone, Time(0), uint64(0)
+		if k.laneLen > 0 {
+			head := &k.lane[k.laneHead]
+			src, at, seq = srcLane, head.at, head.seq
+		}
+		if k.queue.Len() > 0 {
+			if top := &k.queue.items[0]; src == srcNone || top.at < at || top.at == at && top.seq < seq {
+				src, at, seq = srcHeap, top.at, top.seq
+			}
+		}
+		if p := k.checks.root; p != nil {
+			if c := &p.heap[checksHeap]; src == srcNone || c.at < at || c.at == at && c.seq < seq {
+				src, at = srcCheck, c.at
+			}
+		}
+		if src == srcNone {
 			return k.now
 		}
 		if at > deadline {
 			k.now = max(k.now, deadline)
 			return k.now
 		}
-		var ev scheduled
-		if fromLane {
+		k.now = at
+		k.events++
+		switch src {
+		case srcLane:
 			head := &k.lane[k.laneHead]
-			ev = *head
+			fn := head.fn
 			head.fn = nil
 			k.laneHead = (k.laneHead + 1) & (laneCap - 1)
 			k.laneLen--
-		} else {
-			ev = k.queue.pop()
+			fn()
+		case srcHeap:
+			k.queue.pop().fn()
+		default:
+			k.checks.pop().fire()
 		}
-		k.now = ev.at
-		k.events++
-		ev.fn()
 	}
 	return k.now
 }
 
-// laneFirst reports whether the lane head precedes the heap top in
-// (at, seq) order. The heap may hold same-instant events: those scheduled
-// for now before the clock got here, and lane overflow.
-func (k *Kernel) laneFirst() bool {
-	top, head := &k.queue.items[0], &k.lane[k.laneHead]
-	return top.at > head.at || top.at == head.at && top.seq > head.seq
+// The event sources RunUntil merges.
+const (
+	srcNone = iota
+	srcLane
+	srcHeap
+	srcCheck
+)
+
+// horizon is the earliest instant at which anything could put work in
+// any polling process's backlog, or resume a process: the heap top, the
+// last intermediate boundary of every polling process, and now if the
+// lane holds anything but empty checks. A pending check with work
+// waiting sits in the heap, so it bounds the horizon; an empty one does
+// not. The running RunUntil's deadline bounds it too, so that events
+// scheduled from outside the loop between two RunUntil calls find every
+// check where one step at a time would have put it.
+func (k *Kernel) horizon() Time {
+	if k.laneLen > k.laneQuiet {
+		return k.now
+	}
+	h := k.deadline
+	if h < 1<<62 {
+		h++
+	}
+	if k.queue.Len() > 0 {
+		h = min(h, k.queue.items[0].at)
+	}
+	if p := k.lasts.root; p != nil {
+		h = min(h, p.heap[lastsHeap].at)
+	}
+	return h
 }
 
 // Close releases every process that has not finished — parked server
@@ -155,8 +225,9 @@ func (k *Kernel) Close() {
 // finished or been killed.
 func (k *Kernel) LiveProcs() int { return k.liveProcs }
 
-// QueueLen reports the number of pending events, lane and heap together.
-func (k *Kernel) QueueLen() int { return k.queue.Len() + k.laneLen }
+// QueueLen reports the number of pending events: lane, heap and pending
+// polling checks together.
+func (k *Kernel) QueueLen() int { return k.queue.Len() + k.laneLen + k.checks.len }
 
 // Events reports the number of events executed so far.
 func (k *Kernel) Events() uint64 { return k.events }

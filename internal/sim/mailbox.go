@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Mailbox is an unbounded FIFO queue connecting simulated activities.
 // Put never blocks; Get blocks the calling process until an item is
 // available. Items are delivered in Put order and waiters are served in
@@ -17,6 +19,10 @@ type Mailbox[T any] struct {
 
 	waiters    []*waiter
 	waiterFree []*waiter
+
+	// poller is the process polling the mailbox in Proc.SleepPoll, told
+	// of every Put so that the kernel's lookahead sees the work.
+	poller *Proc
 }
 
 type waiter struct {
@@ -54,7 +60,19 @@ func (m *Mailbox[T]) Put(v T) {
 	}
 	m.ring[(m.head+m.count)%len(m.ring)] = v
 	m.count++
+	if m.poller != nil {
+		m.poller.backlogged()
+	}
 	m.wakeOne()
+}
+
+// watch records p as the process polling m (nil: none). Only one process
+// polls a mailbox at a time.
+func (m *Mailbox[T]) watch(p *Proc) {
+	if p != nil && m.poller != nil && m.poller != p {
+		panic(fmt.Sprintf("sim: %q polls a mailbox %q already polls", p.name, m.poller.name))
+	}
+	m.poller = p
 }
 
 //mpichv:noalloc
